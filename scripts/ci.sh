@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Staged CI pipeline: fmt -> build -> test -> clippy -> doc -> examples -> bench-gates.
+# Staged CI pipeline: fmt -> build -> test -> soak -> clippy -> doc -> examples ->
+# bench-gates -> perfbench.
 #
 # One stage, one responsibility; per-stage timing; a clean summary at the
 # end; non-zero exit if anything failed.  `scripts/verify.sh` delegates
@@ -27,6 +28,10 @@
 #     bench-gates  run the gating benches (NONREC_BENCH_FAST=1), write fresh
 #                  snapshots under target/ci/, diff them against the
 #                  committed BENCH_*.json with scripts/bench_diff
+#     perfbench    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+#                  (the repository benchmark is its own workspace and builds
+#                  against the server's API; a change that breaks its build
+#                  fails here instead of in a benchmark run)
 #
 # Env:
 #     NONREC_CI_REFRESH=1   bench-gates copies the fresh snapshots over the
@@ -36,7 +41,7 @@
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STAGES=(fmt build test soak clippy doc examples bench-gates)
+ALL_STAGES=(fmt build test soak clippy doc examples bench-gates perfbench)
 STAGES=("${@:-${ALL_STAGES[@]}}")
 
 SUMMARY_NAMES=()
@@ -123,6 +128,10 @@ stage_bench_gates() {
     NONREC_BENCH_FAST=1 cargo bench --bench datalog_in_ucq || return 1
 }
 
+stage_perfbench() {
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+}
+
 for stage in "${STAGES[@]}"; do
     case "$stage" in
         fmt) run_stage fmt stage_fmt ;;
@@ -133,6 +142,7 @@ for stage in "${STAGES[@]}"; do
         doc) run_stage doc stage_doc ;;
         examples) run_stage examples stage_examples ;;
         bench-gates) run_stage bench-gates stage_bench_gates ;;
+        perfbench) run_stage perfbench stage_perfbench ;;
         *) echo "ci.sh: unknown stage: $stage (known: ${ALL_STAGES[*]})" >&2; exit 2 ;;
     esac || break   # fail fast: later stages assume earlier ones
 done
